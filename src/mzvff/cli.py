@@ -121,11 +121,16 @@ def _add_ring_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def load_spec(path: str) -> FunctionFieldSpec:
-    if path == "-":
-        document = json.load(sys.stdin)
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+    try:
+        if path == "-":
+            document = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                document = json.load(handle)
+    except OSError as exc:
+        raise UsageError(f"cannot read field spec: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidSpecError("document", f"not valid JSON: {exc}") from exc
     return spec_from_dict(document)
 
 

@@ -323,6 +323,17 @@ class QPowerFactor(NamedTuple):
             raise UsageError("factor exponent must not be the zero vector")
 
 
+def atom_product(q: int, arity: int, factors: Iterable[QPowerFactor]) -> LaurentPolynomial:
+    """prod (1 - q^a * x^e) over the factors, expanded (1 for no factors)."""
+    zero = tuple([0] * arity)
+    product = LaurentPolynomial.one(arity)
+    for qpow, exponent in factors:
+        product = product * LaurentPolynomial(
+            arity, {zero: Fraction(1), tuple(exponent): -(Fraction(q) ** qpow)}
+        )
+    return product
+
+
 def _factor_sort_key(factor: QPowerFactor):
     # Display order: graded-lex descending on exponent, then ascending q-power.
     degree, exps = grlex_key(factor.exponent)
@@ -396,18 +407,8 @@ class FactoredRational:
         if self.q != other.q:
             raise UsageError(f"base mismatch: q={self.q} vs q={other.q}")
 
-    def factor_polynomial(self, factor: QPowerFactor) -> LaurentPolynomial:
-        """The denominator atom as an actual polynomial 1 - q^a * x^e."""
-        zero = tuple([0] * self.arity)
-        return LaurentPolynomial(
-            self.arity, {zero: Fraction(1), factor.exponent: -(Fraction(self.q) ** factor.qpow)}
-        )
-
     def denominator_polynomial(self, factors: Iterable[QPowerFactor] | None = None) -> LaurentPolynomial:
-        product = LaurentPolynomial.one(self.arity)
-        for factor in self.den if factors is None else factors:
-            product = product * self.factor_polynomial(factor)
-        return product
+        return atom_product(self.q, self.arity, self.den if factors is None else factors)
 
     # -- ring operations
 
@@ -456,7 +457,7 @@ class FactoredRational:
         while progress and not num.is_zero():
             progress = False
             for i, factor in enumerate(remaining):
-                quotient = num.divide_exact(self.factor_polynomial(factor))
+                quotient = num.divide_exact(atom_product(self.q, self.arity, [factor]))
                 if quotient is not None:
                     num = quotient
                     del remaining[i]
@@ -484,7 +485,7 @@ class FactoredRational:
             if all(e <= bound for e in exps):
                 coeffs[exps] = coeffs.get(exps, Fraction(0)) + coeff
         for factor in self.den:
-            coeffs = _mul_box(coeffs, _geometric_box(self.q, factor, bound), bound, self.arity)
+            coeffs = _mul_box(coeffs, _geometric_box(self.q, factor, bound), bound)
         return TruncatedSeries(self.arity, bound, coeffs)
 
     def substitute(self, j: int, coeff, exponents: Sequence[int]) -> "FactoredRational":
@@ -609,7 +610,7 @@ def _geometric_box(q: int, factor: QPowerFactor, bound: int) -> dict[Exponents, 
 
 
 def _mul_box(
-    a: dict[Exponents, Fraction], b: dict[Exponents, Fraction], bound: int, arity: int
+    a: dict[Exponents, Fraction], b: dict[Exponents, Fraction], bound: int
 ) -> dict[Exponents, Fraction]:
     out: dict[Exponents, Fraction] = {}
     for ea, ca in a.items():
@@ -676,7 +677,7 @@ class TruncatedSeries:
         if self.arity != other.arity or self.bound != other.bound:
             raise UsageError("series shapes do not match")
         return TruncatedSeries(
-            self.arity, self.bound, _mul_box(self.coefficients, other.coefficients, self.bound, self.arity)
+            self.arity, self.bound, _mul_box(self.coefficients, other.coefficients, self.bound)
         )
 
     def sorted_items(self) -> list[tuple[Exponents, Fraction]]:

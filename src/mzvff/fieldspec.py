@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import FactoredRational, LaurentPolynomial, QPowerFactor
+from .exactalg import FactoredRational, LaurentPolynomial, QPowerFactor, atom_product
 
 
 class InvalidSpecError(ValueError):
@@ -171,15 +171,15 @@ def one_var_zeta(spec: FunctionFieldSpec) -> FactoredRational:
     numerator collapses to the constant 1.
     """
     q, g, h = spec.q, spec.genus, spec.class_number
-    one_minus_t = LaurentPolynomial(1, {(0,): Fraction(1), (1,): Fraction(-1)})
-    one_minus_qt = LaurentPolynomial(1, {(0,): Fraction(1), (1,): Fraction(-q)})
+    atoms = [QPowerFactor(0, (1,)), QPowerFactor(1, (1,))]
+    one_minus_t, one_minus_qt = (atom_product(q, 1, [atom]) for atom in atoms)
     head = LaurentPolynomial(1, {(n,): Fraction(spec.b_initial[n]) for n in range(2 * g - 1)})
     t_pow = LaurentPolynomial.monomial(1, 1, (2 * g - 1,))
     tail = (
         t_pow.scale(Fraction(q) ** g) * one_minus_t - t_pow * one_minus_qt
     ).scale(Fraction(h, q - 1))
     num = head * one_minus_t * one_minus_qt + tail
-    return FactoredRational(q, num, [QPowerFactor(0, (1,)), QPowerFactor(1, (1,))])
+    return FactoredRational(q, num, atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import FactoredRational, LaurentPolynomial, QPowerFactor
+from .exactalg import FactoredRational, LaurentPolynomial, QPowerFactor, atom_product
 from .fieldspec import FunctionFieldSpec, effective_count, one_var_zeta
 from .rational_field import IdentityViolationError
 
@@ -34,15 +34,17 @@ def _require_positive_genus(spec: FunctionFieldSpec) -> None:
         raise ValueError(f"need genus >= 1, got genus {spec.genus}")
 
 
-def _uv_atoms(spec):
-    q = spec.q
-    return {
-        "1-u": QPowerFactor(0, (1, 0)),
-        "1-qu": QPowerFactor(1, (1, 0)),
-        "1-q2u": QPowerFactor(2, (1, 0)),
-        "1-v": QPowerFactor(0, (0, 1)),
-        "1-qv": QPowerFactor(1, (0, 1)),
-    }
+_UV_ATOMS = {
+    "1-u": QPowerFactor(0, (1, 0)),
+    "1-qu": QPowerFactor(1, (1, 0)),
+    "1-q2u": QPowerFactor(2, (1, 0)),
+    "1-v": QPowerFactor(0, (0, 1)),
+    "1-qv": QPowerFactor(1, (0, 1)),
+}
+
+
+def _uv_product(q: int, *names: str) -> LaurentPolynomial:
+    return atom_product(q, 2, [_UV_ATOMS[name] for name in names])
 
 
 def part_A(spec: FunctionFieldSpec) -> FactoredRational:
@@ -74,16 +76,9 @@ def part_B(spec: FunctionFieldSpec) -> FactoredRational:
             for n in range(0, 2 * g - 1)
         },
     )
-    bracket = LaurentPolynomial(
-        2,
-        {
-            (0, 0): Fraction(q) ** g - 1,
-            (0, 1): Fraction(q) - Fraction(q) ** g,
-        },
-    )  # q^g (1 - v) - (1 - q v)
+    bracket = _uv_product(q, "1-v").scale(Fraction(q) ** g) - _uv_product(q, "1-qv")
     num = (bracket * cleared).scale(Fraction(h, q - 1))
-    atoms = _uv_atoms(spec)
-    return FactoredRational(q, num, [atoms["1-v"], atoms["1-qv"]])
+    return FactoredRational(q, num, [_UV_ATOMS["1-v"], _UV_ATOMS["1-qv"]])
 
 
 def part_C(spec: FunctionFieldSpec) -> FactoredRational:
@@ -94,7 +89,7 @@ def part_C(spec: FunctionFieldSpec) -> FactoredRational:
     """
     _require_positive_genus(spec)
     q, g, h = spec.q, spec.genus, spec.class_number
-    atoms = _uv_atoms(spec)
+    atoms = _UV_ATOMS
     u_pref = (2 * g - 1, 0)
     pieces = [
         (Fraction(q) ** (2 * g), [atoms["1-qv"], atoms["1-q2u"]]),
@@ -137,18 +132,7 @@ def monomial_tower_exponent(genus: int) -> int:
 
 def denominator_polynomial_q(spec: FunctionFieldSpec) -> LaurentPolynomial:
     """Q(u, v) = (1-u)(1-qu)(1-q^2 u)(1-v)(1-qv) * v^((2g-2)(2g-1)/2)."""
-    q = spec.q
-    result = LaurentPolynomial.monomial(2, 1, (0, monomial_tower_exponent(spec.genus)))
-    for coeff, exps in [
-        (1, (1, 0)),
-        (q, (1, 0)),
-        (q * q, (1, 0)),
-        (1, (0, 1)),
-        (q, (0, 1)),
-    ]:
-        atom = LaurentPolynomial(2, {(0, 0): Fraction(1), exps: Fraction(-coeff)})
-        result = result * atom
-    return result
+    return _uv_product(spec.q, *_UV_ATOMS).shift((0, monomial_tower_exponent(spec.genus)))
 
 
 def pq_polynomials(spec: FunctionFieldSpec) -> tuple[LaurentPolynomial, LaurentPolynomial]:
@@ -167,14 +151,8 @@ def pq_polynomials(spec: FunctionFieldSpec) -> tuple[LaurentPolynomial, LaurentP
     form = closed_form_genus_d2(spec)
     p1 = q_poly * form.A.num  # A is a polynomial: Q * A
 
-    u_cubic = LaurentPolynomial.one(2)
-    for coeff in (1, q, q * q):
-        u_cubic = u_cubic * LaurentPolynomial(
-            2, {(0, 0): Fraction(1), (1, 0): Fraction(-coeff)}
-        )
-    bracket_b = LaurentPolynomial(
-        2, {(0, 0): Fraction(q) ** g - 1, (0, 1): Fraction(q) - Fraction(q) ** g}
-    )
+    u_cubic = _uv_product(q, "1-u", "1-qu", "1-q2u")
+    bracket_b = _uv_product(q, "1-v").scale(Fraction(q) ** g) - _uv_product(q, "1-qv")
     tail_sum = LaurentPolynomial(
         2,
         {
@@ -185,16 +163,11 @@ def pq_polynomials(spec: FunctionFieldSpec) -> tuple[LaurentPolynomial, LaurentP
     v_pref = LaurentPolynomial.monomial(2, 1, (0, 2 * g - 1))
     p2 = (u_cubic * bracket_b * v_pref * tail_sum).scale(Fraction(h, q - 1))
 
-    def binom(coeff, exps):
-        return LaurentPolynomial(2, {(0, 0): Fraction(1), exps: Fraction(-coeff)})
-
-    one_u, one_qu, one_q2u = binom(1, (1, 0)), binom(q, (1, 0)), binom(q * q, (1, 0))
-    one_v, one_qv = binom(1, (0, 1)), binom(q, (0, 1))
     bracket_c = (
-        (one_qu * one_v * one_u).scale(Fraction(q) ** (2 * g))
-        - (one_q2u * one_v * one_u).scale(Fraction(q) ** g)
-        - (one_qv * one_q2u * one_u).scale(Fraction(q) ** g)
-        + one_qv * one_q2u * one_qu
+        _uv_product(q, "1-qu", "1-v", "1-u").scale(Fraction(q) ** (2 * g))
+        - _uv_product(q, "1-q2u", "1-v", "1-u").scale(Fraction(q) ** g)
+        - _uv_product(q, "1-qv", "1-q2u", "1-u").scale(Fraction(q) ** g)
+        + _uv_product(q, "1-qv", "1-q2u", "1-qu")
     )
     p3 = (
         LaurentPolynomial.monomial(2, 1, (2 * g - 1, tower)) * bracket_c
@@ -204,8 +177,7 @@ def pq_polynomials(spec: FunctionFieldSpec) -> tuple[LaurentPolynomial, LaurentP
 
     # P/Q against A+B+C: Q carries the monomial v^tower, which is a unit, so
     # P/Q is the factored value with numerator P * v^(-tower) over the five atoms.
-    atoms = _uv_atoms(spec)
-    ratio = FactoredRational(q, p.shift((0, -tower)), list(atoms.values()))
+    ratio = FactoredRational(q, p.shift((0, -tower)), _UV_ATOMS.values())
     if not ratio.equal(form.total):
         raise IdentityViolationError("P/Q does not reproduce the assembled closed form")
     return p, q_poly
@@ -272,7 +244,7 @@ def reduced_pole_atoms(spec: FunctionFieldSpec) -> list[QPowerFactor]:
     """Denominator atoms of the reduced closed form; must sit inside
     {1-u, 1-qu, 1-q^2 u, 1-v, 1-qv}, each at most once."""
     reduced = closed_form_genus_d2(spec).total.reduce()
-    allowed = set(_uv_atoms(spec).values())
+    allowed = set(_UV_ATOMS.values())
     seen = []
     for factor in reduced.den:
         if factor not in allowed:

@@ -24,6 +24,7 @@ from .exactalg import (
     QPowerFactor,
     TruncatedSeries,
     UsageError,
+    atom_product,
     render_rational,
 )
 
@@ -151,7 +152,8 @@ def mixed_relation_d2(q: int) -> bool:
 def _substituted_pair(value, j, coeff, exps):
     num = value.num.substitute_monomial(j, coeff, exps)
     den = [
-        value.factor_polynomial(f).substitute_monomial(j, coeff, exps) for f in value.den
+        atom_product(value.q, value.arity, [f]).substitute_monomial(j, coeff, exps)
+        for f in value.den
     ]
     return num, den
 

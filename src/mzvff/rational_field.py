@@ -6,10 +6,13 @@ series in the coordinates y_j = x_j...x_d gives the 2^d-term closed form
 
     Z_d = (q-1)^-d * sum_S (-1)^(d-|S|) q^|S| prod_j 1/(1 - q^(c_j(S)) y_j),
 
-with c_j(S) = #{k in S : k >= j}.  The module also builds the clearing
-polynomial whose product with Z_d is a polynomial of degree <= 2d-1 in each
-x-variable, the depth-2 decomposition into shifted one-variable zetas, and
-the reduced pole-subvariety report.
+with c_j(S) = #{k in S : k >= j}.  Its denominator is the pole ladder
+{1 - q^c y_j : c = 0..d-j+1}; closed_form_genus0 sums the expansion straight
+over that ladder by a recursion over the O(d^2) states c_j, and the subset
+terms stay available as the stated expansion.  The module also builds the
+clearing polynomial whose product with Z_d is a polynomial (of degree <= 2d-1
+in each x-variable for d <= 3 only), the depth-2 decomposition into shifted
+one-variable zetas, and the reduced pole-subvariety report.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .exactalg import (
     LaurentPolynomial,
     QPowerFactor,
     UsageError,
+    _multiset_split,
+    atom_product,
 )
 from .polyring import sum_label, y_exponent
 
@@ -70,14 +75,29 @@ def subset_terms(depth: int) -> list[SubsetTerm]:
 
 
 def closed_form_genus0(q: int, depth: int) -> FactoredRational:
-    """The 2^d-term subset expansion, assembled over the merged denominator."""
+    """The subset expansion summed over the pole ladder by a state recursion.
+
+    Going j = d..1, subsets of {j..d} that share c = #{k in S : k >= j} share
+    every later factor, so they are summed early.  State c keeps its numerator
+    over the ladder rows of y_j..y_d:
+
+        N_j[c] = (q N_(j+1)[c-1] - N_(j+1)[c]) * prod_(c' != c) (1 - q^c' y_j),
+
+    from N_(d+1)[0] = 1, and Z_d = sum_c N_1[c] / ((q-1)^d * ladder).
+    """
     if q < 2 or depth < 1:
         raise UsageError("need q >= 2 and depth >= 1")
-    total = None
-    for term in subset_terms(depth):
-        value = term.as_rational(q)
-        total = value if total is None else total + value
-    return total
+    zero = LaurentPolynomial.zero(depth)
+    states = [LaurentPolynomial.one(depth)]
+    for j in range(depth, 0, -1):
+        row = _ladder_row(depth, j)
+        padded = [zero] + states + [zero]
+        states = [
+            (padded[c] * q - padded[c + 1]) * atom_product(q, depth, row[:c] + row[c + 1:])
+            for c in range(len(row))
+        ]
+    num = sum(states, zero).scale(Fraction(1, (q - 1) ** depth))
+    return FactoredRational(q, num, _pole_ladder(depth))
 
 
 def q_polynomial(q: int, depth: int) -> LaurentPolynomial:
@@ -88,45 +108,40 @@ def q_polynomial(q: int, depth: int) -> LaurentPolynomial:
     (1-y_k)(1-q y_k)(1-q^2 y_k) over k < d; deeper sums also reach levels
     c > 2 on the early coordinates (the full subset contributes 1 - q^d y_1),
     so the ladder runs to d-j+1 — with fewer atoms the product would not be a
-    polynomial.
+    polynomial.  The cleared product has degree <= 2d-1 in each variable only
+    for d <= 3 (see q_times_z_is_polynomial).
     """
     if q < 2 or depth < 1:
         raise UsageError("need q >= 2 and depth >= 1")
-    result = LaurentPolynomial.constant(depth, (q - 1) ** depth)
-    for j, c in _pole_ladder(depth):
-        atom = LaurentPolynomial(
-            depth,
-            {
-                tuple([0] * depth): Fraction(1),
-                y_exponent(depth, j): -Fraction(q) ** c,
-            },
-        )
-        result = result * atom
-    return result
+    return atom_product(q, depth, _pole_ladder(depth)).scale((q - 1) ** depth)
 
 
-def _pole_ladder(depth: int):
-    for j in range(1, depth + 1):
-        for c in range(0, depth - j + 2):
-            yield (j, c)
+def _ladder_row(depth: int, j: int) -> list[QPowerFactor]:
+    """The atoms 1 - q^c y_j for c = 0..d-j+1."""
+    return [QPowerFactor(c, y_exponent(depth, j)) for c in range(depth - j + 2)]
+
+
+def _pole_ladder(depth: int) -> tuple[QPowerFactor, ...]:
+    return tuple(atom for j in range(1, depth + 1) for atom in _ladder_row(depth, j))
 
 
 def q_times_z_is_polynomial(q: int, depth: int) -> tuple[bool, tuple[int, ...]]:
-    """Multiply the clearing polynomial into the closed form and divide out
-    every denominator atom exactly.
+    """Clear the closed form with q_polynomial, cancelling first: the ladder
+    atoms shared with the denominator drop out symbolically, and the cleared
+    numerator is (q-1)^d * num * (the ladder atoms not in the denominator).
 
-    Returns (all per-variable degrees <= 2d-1, the degrees).  A division
-    failure cannot happen and raises IdentityViolationError.
+    Returns (all per-variable degrees <= 2d-1, the degrees).  The bound holds
+    for d <= 3 and fails beyond, a recorded reproduction finding: the degrees
+    are (3, 6, 8, 9) at d = 4 and (4, 8, 11, 13, 14) at d = 5.  A denominator
+    atom off the ladder cannot happen and raises IdentityViolationError.
     """
     zeta = closed_form_genus0(q, depth)
-    product = q_polynomial(q, depth) * zeta.num
-    for factor in zeta.den:
-        quotient = product.divide_exact(zeta.factor_polynomial(factor))
-        if quotient is None:
-            raise IdentityViolationError(
-                f"denominator atom {factor} does not divide the cleared numerator"
-            )
-        product = quotient
+    _, ladder_only, off_ladder = _multiset_split(_pole_ladder(depth), zeta.den)
+    if off_ladder:
+        raise IdentityViolationError(
+            f"denominator atom {off_ladder[0]} is not on the pole ladder"
+        )
+    product = zeta.num.scale((q - 1) ** depth) * atom_product(q, depth, ladder_only)
     degrees = product.degrees()
     return all(deg <= 2 * depth - 1 for deg in degrees), degrees
 

@@ -51,6 +51,29 @@ class TestClosedForm:
         assert code == 3
         assert "b" in err
 
+    @pytest.mark.parametrize(
+        "content, code", [(None, 2), (b'{"q": 5, "genus": 1', 3), (b"\xff\xfe{}", 3)]
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("closed-form", "--ring", "genus", "--depth", "2"),
+            ("series", "--ring", "genus", "--depth", "2", "--trunc", "2"),
+            ("verify", "--only", "fieldspec"),
+        ],
+    )
+    def test_unreadable_or_truncated_spec(self, capsys, tmp_path, command, content, code):
+        # a missing file is a usage error; truncated JSON or non-UTF-8 bytes
+        # are an invalid spec document
+        path = tmp_path / "spec.json"
+        if content is not None:
+            path.write_bytes(content)
+        exit_code, out, err = run(capsys, *command, "--spec", str(path))
+        assert exit_code == code
+        assert out == ""
+        assert err.startswith("error: ")
+        assert ("invalid field spec: document" in err) == (code == 3)
+
     def test_missing_q_is_usage_error(self, capsys):
         code, _, err = run(capsys, "closed-form", "--ring", "poly", "--depth", "2")
         assert code == 2

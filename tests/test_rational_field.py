@@ -72,6 +72,19 @@ class TestClosedForm:
         assert closed == oracle.truncated_series_b(oracle.genus0_weights(q), d, 8)
 
 
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("d", (1, 2, 3, 4, 5))
+    def test_recursion_matches_pairwise_subset_sum(self, q, d):
+        # the subset terms added pairwise with +, as stated in the paper
+        total = None
+        for term in subset_terms(d):
+            value = term.as_rational(q)
+            total = value if total is None else total + value
+        closed = closed_form_genus0(q, d)
+        assert closed.to_dict() == total.to_dict()
+        assert render_rational(closed) == render_rational(total)
+
+
 class TestQPolynomial:
     def test_depth1(self):
         q = 3
@@ -97,6 +110,14 @@ class TestQPolynomial:
         ok, degrees = q_times_z_is_polynomial(q, d)
         assert ok, degrees
         assert all(deg <= 2 * d - 1 for deg in degrees)
+
+    @pytest.mark.parametrize("q", (2, 3))
+    @pytest.mark.parametrize(
+        "d, degrees", [(4, (3, 6, 8, 9)), (5, (4, 8, 11, 13, 14))]
+    )
+    def test_degree_bound_fails_beyond_depth_three(self, q, d, degrees):
+        # recorded finding: the stated 2d-1 bound holds for d <= 3 only
+        assert q_times_z_is_polynomial(q, d) == (False, degrees)
 
     def test_depth3_reaches_level_three(self):
         # the full-subset term carries the atom 1 - q^3 y_1, so the clearing

@@ -8,6 +8,7 @@ closed form with an independent computation.
 """
 
 from .exactalg import (
+    BudgetExceededError,
     FactoredRational,
     LaurentPolynomial,
     NotAPowerSeriesError,
@@ -16,6 +17,7 @@ from .exactalg import (
     SubstitutionError,
     TruncatedSeries,
     UsageError,
+    configured_budget,
     render_factor,
     render_monomial,
     render_polynomial,
@@ -63,7 +65,6 @@ from .higher_genus import (
     pq_polynomials,
 )
 from .oracle import (
-    BudgetExceededError,
     elliptic_point_count,
     enumerate_monic,
     irreducible_count,

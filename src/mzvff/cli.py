@@ -1,7 +1,8 @@
 """Command-line surface: closed forms, series, residues, and verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or unsupported
-request, 3 invalid field-spec document, 4 enumeration budget exceeded.
+request, 3 invalid field-spec document, 4 work budget exceeded (the
+enumeration oracle's tuple count or the series box; see ``MZVFF_BUDGET``).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Sequence
 
 from . import higher_genus, oracle, polyring, rational_field, verification
 from .exactalg import (
+    BudgetExceededError,
     TruncatedSeries,
     UsageError,
     default_names,
@@ -20,7 +22,6 @@ from .exactalg import (
     render_series,
 )
 from .fieldspec import FunctionFieldSpec, InvalidSpecError, spec_from_dict
-from .oracle import BudgetExceededError
 from .polyring import PolyZetaContext
 
 EXIT_OK = 0

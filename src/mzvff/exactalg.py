@@ -8,7 +8,11 @@ binomial denominator atoms ``1 - q^a * x^e`` with a fixed integer base
 arising in this package has that shape, which makes pole bookkeeping and
 formal power-series expansion trivial and avoids multivariate GCDs: equality
 is decided by cross-multiplication, and reduction only ever divides the
-numerator by a denominator atom.
+numerator by a denominator atom.  A series expansion divides by one atom at
+a time, as a linear recurrence over a dense box of integer cells, and is
+refused with ``BudgetExceededError`` when the box times the number of passes
+exceeds the work budget (``MZVFF_BUDGET``, shared with the enumeration
+oracle).
 
 All values are immutable after construction and all operations are pure, so
 they can be shared freely between threads.
@@ -16,10 +20,16 @@ they can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
+import os
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Exponents = tuple[int, ...]
+
+DEFAULT_BUDGET = 20_000_000
+BUDGET_ENV_VAR = "MZVFF_BUDGET"
 
 
 class UsageError(ValueError):
@@ -36,6 +46,21 @@ class PoleProximityError(ArithmeticError):
 
 class SubstitutionError(ValueError):
     """A substitution produced a denominator atom outside the 1 - q^a*x^e shape."""
+
+
+class BudgetExceededError(RuntimeError):
+    """The requested enumeration or series box would exceed the work budget."""
+
+
+def configured_budget() -> int:
+    """The work budget: ``MZVFF_BUDGET`` when set, else DEFAULT_BUDGET."""
+    value = os.environ.get(BUDGET_ENV_VAR)
+    if value is None:
+        return DEFAULT_BUDGET
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {value!r}") from None
 
 
 def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
@@ -450,19 +475,25 @@ class FactoredRational:
         return left == right
 
     def reduce(self) -> "FactoredRational":
-        """Cancel every denominator atom that divides the numerator exactly."""
+        """Cancel every denominator atom that divides the numerator exactly.
+
+        An atom 1 - q^a x^e with some e_j == 1 is linear in x_j, so it divides
+        the numerator iff the numerator vanishes at x_j = q^-a x^-e', where e'
+        is e with its j-th entry set to 0; that substitution settles such an
+        atom before any division is tried.
+        An atom that does not divide the numerator cannot divide it after
+        other atoms are cancelled, so one pass over the atoms suffices.
+        """
         num = self.num
-        remaining: list[QPowerFactor] = list(self.den)
-        progress = True
-        while progress and not num.is_zero():
-            progress = False
-            for i, factor in enumerate(remaining):
+        remaining: list[QPowerFactor] = []
+        for factor in self.den:
+            quotient = None
+            if not num.is_zero() and _may_divide(self.q, num, factor):
                 quotient = num.divide_exact(atom_product(self.q, self.arity, [factor]))
-                if quotient is not None:
-                    num = quotient
-                    del remaining[i]
-                    progress = True
-                    break
+            if quotient is None:
+                remaining.append(factor)
+            else:
+                num = quotient
         return FactoredRational(self.q, num, remaining)
 
     # -- series, substitution, evaluation
@@ -470,23 +501,55 @@ class FactoredRational:
     def series(self, bound: int) -> "TruncatedSeries":
         """Formal power-series expansion, exact on the box of exponents <= bound.
 
-        Each denominator atom expands through the geometric series
-        1/(1 - q^a x^e) = sum_n q^(a n) x^(n e); the numerator must have no
-        negative exponents for the value to be a power series at the origin.
+        The numerator, scaled to integers by the lcm D of its coefficient
+        denominators, is placed on a dense flat box of (bound+1)^arity cells
+        with strides (bound+1)^i.  Dividing by an atom 1 - q^a x^e is then the
+        recurrence c[n] += q^a * c[n - e], one pass in increasing flat order
+        over the cells with n >= e; the nonzero cells, divided by D, are the
+        coefficients.  The numerator must have no negative exponents for the
+        value to be a power series at the origin, and the box times
+        (atoms + 1) must fit the configured budget (``MZVFF_BUDGET``).
         """
         if bound < 0:
             raise UsageError("series bound must be nonnegative")
-        coeffs: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.num.terms.items():
+        arity, side = self.arity, bound + 1
+        for exps in self.num.terms:
             if any(e < 0 for e in exps):
                 raise NotAPowerSeriesError(
                     f"numerator term x^{exps} has a negative exponent; no power series at 0"
                 )
+        size = side**arity
+        cost, budget = size * (len(self.den) + 1), configured_budget()
+        if cost > budget:
+            raise BudgetExceededError(
+                f"series box needs {size} cells x {len(self.den) + 1} passes = {cost}, "
+                f"budget is {budget}"
+            )
+        strides = [side**i for i in range(arity)]
+        scale = math.lcm(*(c.denominator for c in self.num.terms.values()))
+        cells: list = [0] * size
+        for exps, coeff in self.num.terms.items():
             if all(e <= bound for e in exps):
-                coeffs[exps] = coeffs.get(exps, Fraction(0)) + coeff
-        for factor in self.den:
-            coeffs = _mul_box(coeffs, _geometric_box(self.q, factor, bound), bound)
-        return TruncatedSeries(self.arity, bound, coeffs)
+                cells[sum(e * s for e, s in zip(exps, strides))] += (
+                    coeff.numerator * (scale // coeff.denominator)
+                )
+        for qpow, step in self.den:
+            c = self.q**qpow if qpow >= 0 else Fraction(1, self.q**-qpow)
+            off = sum(e * s for e, s in zip(step, strides))
+            # The last axis has the largest stride, so it leads the product.
+            axes = [range(e * s, side * s, s) for e, s in zip(step, strides)]
+            for parts in product(*reversed(axes)):
+                k = sum(parts)
+                cells[k] += c * cells[k - off]
+        coeffs: dict[Exponents, Fraction] = {}
+        for k, value in enumerate(cells):
+            if value:
+                exps = []
+                for _ in range(arity):
+                    k, e = divmod(k, side)
+                    exps.append(e)
+                coeffs[tuple(exps)] = Fraction(value, scale)
+        return TruncatedSeries(arity, bound, coeffs)
 
     def substitute(self, j: int, coeff, exponents: Sequence[int]) -> "FactoredRational":
         """Map x_{j+1} -> coeff * x^exponents, restoring all representation invariants.
@@ -583,6 +646,16 @@ class FactoredRational:
         return cls(int(data["q"]), num, den)
 
 
+def _may_divide(q: int, num: LaurentPolynomial, factor: QPowerFactor) -> bool:
+    """False when the atom is linear in some x_j and misses a zero of num."""
+    qpow, exponent = factor
+    for j, e in enumerate(exponent):
+        if e == 1:
+            root = tuple(0 if i == j else -x for i, x in enumerate(exponent))
+            return num.substitute_monomial(j, Fraction(q) ** -qpow, root).is_zero()
+    return True
+
+
 def _multiset_split(
     left: tuple[QPowerFactor, ...], right: tuple[QPowerFactor, ...]
 ) -> tuple[tuple[QPowerFactor, ...], tuple[QPowerFactor, ...], tuple[QPowerFactor, ...]]:
@@ -596,17 +669,6 @@ def _multiset_split(
         tuple((cl - common).elements()),
         tuple((cr - common).elements()),
     )
-
-
-def _geometric_box(q: int, factor: QPowerFactor, bound: int) -> dict[Exponents, Fraction]:
-    """Truncated geometric series of 1/(1 - q^a x^e) on the exponent box <= bound."""
-    coeffs: dict[Exponents, Fraction] = {}
-    step = factor.exponent
-    n = 0
-    while all(n * e <= bound for e in step):
-        coeffs[tuple(n * e for e in step)] = Fraction(q) ** (factor.qpow * n)
-        n += 1
-    return coeffs
 
 
 def _mul_box(

@@ -9,32 +9,14 @@ side of every verification.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Callable
 
-from .exactalg import TruncatedSeries
+from .exactalg import BudgetExceededError, TruncatedSeries, configured_budget
 from .fieldspec import FunctionFieldSpec, effective_count
-
-DEFAULT_TUPLE_BUDGET = 20_000_000
-BUDGET_ENV_VAR = "MZVFF_BUDGET"
-
-
-class BudgetExceededError(RuntimeError):
-    """The requested enumeration would exceed the tuple budget."""
-
-
-def configured_budget() -> int:
-    value = os.environ.get(BUDGET_ENV_VAR)
-    if value is None:
-        return DEFAULT_TUPLE_BUDGET
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {value!r}") from None
 
 
 def is_prime(n: int) -> bool:

@@ -158,6 +158,14 @@ class TestSeries:
         assert code == 4
         assert "budget" in err
 
+    def test_series_box_over_budget_exits_4(self, capsys):
+        code, out, err = run(
+            capsys, "series", "--ring", "poly", "--q", "2", "--depth", "6", "--trunc", "64",
+        )
+        assert code == 4
+        assert out == ""
+        assert "series box" in err and "budget" in err
+
     def test_l_polynomial_spec_document(self, capsys):
         base = ("series", "--ring", "genus", "--depth", "2", "--trunc", "2")
         _, from_counts, _ = run(capsys, *base, "--spec", f"{SPEC_DIR}/genus1_q5.json")

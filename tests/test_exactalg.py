@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzvff import oracle
+from mzvff.bundled import genus_specs
 from mzvff.exactalg import (
+    BudgetExceededError,
     FactoredRational,
     LaurentPolynomial,
     NotAPowerSeriesError,
@@ -12,9 +15,13 @@ from mzvff.exactalg import (
     QPowerFactor,
     TruncatedSeries,
     UsageError,
+    atom_product,
     render_polynomial,
     render_rational,
 )
+from mzvff.higher_genus import closed_form_genus_d2
+from mzvff.polyring import PolyZetaContext, closed_form_poly, euler_truncation, y_exponent
+from mzvff.rational_field import closed_form_genus0
 
 
 def poly(arity, terms):
@@ -334,3 +341,117 @@ class TestTruncatedSeries:
         a = TruncatedSeries(1, 2, {(0,): 1, (1,): 1, (2,): 1})
         product = a * a
         assert product.coefficient((2,)) == 3
+
+
+def reference_series(value, bound):
+    """The numerator's box times each atom's own series, by TruncatedSeries.__mul__."""
+    inside = {e: c for e, c in value.num.terms.items() if all(x <= bound for x in e)}
+    product = TruncatedSeries(value.arity, bound, inside)
+    for factor in value.den:
+        product = product * FactoredRational.inverse_factor(
+            value.q, factor.qpow, factor.exponent
+        ).series(bound)
+    return product
+
+
+def euler_value(q, depth, max_degree):
+    """The product that euler_truncation expands, rebuilt from its atoms."""
+    den = []
+    for n in range(1, max_degree + 1):
+        for k in range(1, depth + 1):
+            atom = QPowerFactor(n * (depth - k), tuple(n * e for e in y_exponent(depth, k)))
+            den.extend([atom] * oracle.irreducible_count(q, n))
+    return FactoredRational(q, LaurentPolynomial.one(depth), den)
+
+
+def boxed_rationals():
+    """Any arity 1..3, Fraction numerators reaching past small boxes, atoms with q^-2..q^3."""
+    return st.integers(1, 3).flatmap(
+        lambda arity: st.tuples(
+            st.sampled_from((2, 3, 5)),
+            polynomials(arity, max_exp=6, max_terms=5),
+            st.lists(atoms(arity), max_size=4),
+        )
+    ).map(lambda t: FactoredRational(*t))
+
+
+def reduce_by_division(value):
+    """Cancel atoms by trying divide_exact on each, with no shortcut."""
+    num, remaining = value.num, list(value.den)
+    progress = True
+    while progress and not num.is_zero():
+        progress = False
+        for i, factor in enumerate(remaining):
+            quotient = num.divide_exact(atom_product(value.q, value.arity, [factor]))
+            if quotient is not None:
+                num = quotient
+                del remaining[i]
+                progress = True
+                break
+    return FactoredRational(value.q, num, remaining)
+
+
+class TestSeriesRecurrence:
+    @pytest.mark.parametrize("qpow", [-2, 0, 3])
+    def test_single_atom_is_geometric(self, qpow):
+        series = FactoredRational.inverse_factor(3, qpow, (2, 1)).series(5)
+        assert series.coefficients == {(2 * n, n): Fraction(3) ** (qpow * n) for n in range(3)}
+
+    @pytest.mark.parametrize("q,d,bound", [(2, 1, 12), (3, 2, 9), (5, 3, 5), (2, 4, 3)])
+    def test_poly_closed_form(self, q, d, bound):
+        value = closed_form_poly(PolyZetaContext(q, d))
+        assert value.series(bound) == reference_series(value, bound)
+
+    @pytest.mark.parametrize("q,d,bound", [(2, 1, 12), (3, 2, 9), (4, 3, 5), (3, 4, 3)])
+    def test_rational_closed_form(self, q, d, bound):
+        value = closed_form_genus0(q, d)
+        assert value.series(bound) == reference_series(value, bound)
+
+    @pytest.mark.parametrize("name", sorted(genus_specs()))
+    def test_genus_closed_form(self, name):
+        value = closed_form_genus_d2(genus_specs()[name]).total
+        assert value.series(7) == reference_series(value, 7)
+
+    @pytest.mark.parametrize("q,d,max_degree", [(2, 1, 5), (2, 2, 3), (3, 2, 2), (3, 3, 2)])
+    def test_euler_product(self, q, d, max_degree):
+        value = euler_value(q, d, max_degree)
+        expected = reference_series(value, d * max_degree)
+        assert value.series(d * max_degree) == expected
+        assert euler_truncation(PolyZetaContext(q, d), max_degree) == expected
+
+    @given(boxed_rationals(), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_product_of_atom_series(self, value, bound):
+        assert value.series(bound) == reference_series(value, bound)
+
+    def test_budget_counts_box_times_passes(self, monkeypatch):
+        value = closed_form_poly(PolyZetaContext(2, 2))  # two atoms: three passes
+        monkeypatch.setenv("MZVFF_BUDGET", str(5 * 5 * 3))
+        assert value.series(4) == reference_series(value, 4)
+        with pytest.raises(BudgetExceededError, match="budget is 75"):
+            value.series(5)
+
+
+class TestReduceShortcut:
+    def test_cancelling_atoms_match_plain_division(self):
+        # numerator carries two unit-entry atoms and one without a unit entry
+        q = 3
+        cancel = [QPowerFactor(1, (1, 1)), QPowerFactor(-1, (0, 1)), QPowerFactor(2, (2, 2))]
+        keep = [QPowerFactor(0, (1, 0)), QPowerFactor(1, (1, 1)), QPowerFactor(0, (0, 2))]
+        num = poly(2, {(0, 0): 1, (1, 2): Fraction(-2, 3)}) * atom_product(q, 2, cancel)
+        value = FactoredRational(q, num, cancel + keep)
+        reduced = value.reduce()
+        assert reduced.to_dict() == reduce_by_division(value).to_dict()
+        assert sorted(reduced.den) == sorted(keep)
+        assert reduced.equal(value)
+
+    @pytest.mark.parametrize("q,d", [(2, 3), (3, 4)])
+    def test_genus0_closed_form(self, q, d):
+        value = closed_form_genus0(q, d)
+        assert value.reduce().to_dict() == reduce_by_division(value).to_dict()
+
+    @given(rationals(2), st.lists(atoms(2), min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_plain_division(self, a, extra):
+        value = FactoredRational(a.q, a.num * atom_product(a.q, 2, extra), a.den + tuple(extra))
+        assert value.reduce().to_dict() == reduce_by_division(value).to_dict()

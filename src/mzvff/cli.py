@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or unsupported
 request, 3 invalid field-spec document, 4 work budget exceeded (the
-enumeration oracle's tuple count or the series box; see ``MZVFF_BUDGET``).
+enumeration oracle's tuple count, the series box or the genus-0 closed-form
+size; see ``MZVFF_BUDGET``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -35,9 +37,8 @@ GENUS_DEPTH_MESSAGE = "closed form at genus >= 1 is available for depth 2 only"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -51,6 +52,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process; parse_args keeps no state between calls.
+    return build_parser()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,21 +1,28 @@
 """Exact sparse arithmetic for Laurent polynomials and factored rational functions.
 
-Values live in d variables x_1..x_d with exact rational (``Fraction``)
-coefficients and integer exponents that may be negative.  Rational functions
-are kept in factored form: a Laurent-polynomial numerator over a multiset of
-binomial denominator atoms ``1 - q^a * x^e`` with a fixed integer base
-``q >= 2`` and nonnegative exponent vector ``e != 0``.  Every denominator
-arising in this package has that shape, which makes pole bookkeeping and
-formal power-series expansion trivial and avoids multivariate GCDs: equality
-is decided by cross-multiplication, and reduction only ever divides the
-numerator by a denominator atom.  A series expansion divides by one atom at
-a time, as a linear recurrence over a dense box of integer cells, and is
-refused with ``BudgetExceededError`` when the box times the number of passes
-exceeds the work budget (``MZVFF_BUDGET``, shared with the enumeration
+Values live in d variables x_1..x_d with exact rational coefficients and
+integer exponents that may be negative.  A coefficient is stored as an ``int``
+when it is integral and as a ``Fraction`` otherwise, so integer arithmetic
+(the common case: the genus-0 numerator is integral until one final
+``(q-1)^-d``) never pays for ``Fraction``; equal values compare, hash and
+print the same either way.
+
+Rational functions are kept in factored form: a Laurent-polynomial numerator
+over a multiset of binomial denominator atoms ``1 - q^a * x^e`` with a fixed
+integer base ``q >= 2`` and nonnegative exponent vector ``e != 0``.  Every
+denominator arising in this package has that shape, which makes pole
+bookkeeping and formal power-series expansion trivial and avoids multivariate
+GCDs: equality is decided by cross-multiplication, and reduction only ever
+divides the numerator by a denominator atom.  A series expansion divides by
+one atom at a time, as a linear recurrence over a dense box of integer cells,
+and is refused with ``BudgetExceededError`` when the box times the number of
+passes exceeds the work budget (``MZVFF_BUDGET``, shared with the enumeration
 oracle).
 
-All values are immutable after construction and all operations are pure, so
-they can be shared freely between threads.
+The public constructors validate and normalise their input; every result an
+operation builds itself goes through a trusted ``_make`` that does not check
+it again.  All values are immutable after construction and all operations are
+pure, so they can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -24,9 +31,11 @@ import math
 import os
 from fractions import Fraction
 from itertools import product
+from operator import add
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Exponents = tuple[int, ...]
+Coefficient = int | Fraction
 
 DEFAULT_BUDGET = 20_000_000
 BUDGET_ENV_VAR = "MZVFF_BUDGET"
@@ -63,6 +72,27 @@ def configured_budget() -> int:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {value!r}") from None
 
 
+def _exact(value) -> Coefficient:
+    """value as a coefficient: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _ratio(a: Coefficient, b: Coefficient) -> Coefficient:
+    """The exact quotient a/b (never a float)."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _exact(Fraction(a, b))
+
+
+def _cleaned(terms: dict) -> dict:
+    """terms without its zero entries, with integral Fractions stored as int."""
+    return {e: c if type(c) is int else _exact(c) for e, c in terms.items() if c}
+
+
 def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
     """Graded-lexicographic sort key (total degree first, then left-to-right)."""
     return (sum(exponents), exponents)
@@ -81,27 +111,38 @@ def default_names(arity: int) -> list[str]:
 
 
 class LaurentPolynomial:
-    """Sparse Laurent polynomial: a map from exponent vectors to Fractions.
+    """Sparse Laurent polynomial: a map from exponent vectors to coefficients.
 
-    Invariants: every stored coefficient is nonzero and every exponent vector
-    has length ``arity``.  Treated as immutable.
+    Invariants: every stored coefficient is nonzero, an ``int`` when integral
+    and a ``Fraction`` otherwise, and every exponent vector is a tuple of
+    length ``arity``.  The constructor checks and normalises its input; the
+    operations build their results with ``_make``, which trusts them.
+    Treated as immutable.
     """
 
     __slots__ = ("arity", "terms")
 
-    def __init__(self, arity: int, terms: Mapping[Exponents, Fraction] | None = None):
+    def __init__(self, arity: int, terms: Mapping[Exponents, Coefficient] | None = None):
         if arity < 1:
             raise UsageError(f"arity must be positive, got {arity}")
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Coefficient] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != arity:
                 raise UsageError(f"exponent vector {exps} does not have arity {arity}")
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff:
                 clean[exps] = coeff
         self.arity = arity
         self.terms = clean
+
+    @classmethod
+    def _make(cls, arity: int, terms: dict[Exponents, Coefficient]) -> "LaurentPolynomial":
+        """Wrap terms that already meet the invariants, without checking them."""
+        poly = object.__new__(cls)
+        poly.arity = arity
+        poly.terms = terms
+        return poly
 
     # -- constructors
 
@@ -111,7 +152,7 @@ class LaurentPolynomial:
 
     @classmethod
     def constant(cls, arity: int, value) -> "LaurentPolynomial":
-        return cls(arity, {tuple([0] * arity): Fraction(value)})
+        return cls(arity, {tuple([0] * arity): value})
 
     @classmethod
     def one(cls, arity: int) -> "LaurentPolynomial":
@@ -119,7 +160,7 @@ class LaurentPolynomial:
 
     @classmethod
     def monomial(cls, arity: int, coeff, exponents: Sequence[int]) -> "LaurentPolynomial":
-        return cls(arity, {tuple(exponents): Fraction(coeff)})
+        return cls(arity, {tuple(exponents): coeff})
 
     @classmethod
     def variable(cls, arity: int, j: int) -> "LaurentPolynomial":
@@ -137,10 +178,10 @@ class LaurentPolynomial:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
 
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
+    def coefficient(self, exponents: Sequence[int]) -> Coefficient:
+        return self.terms.get(tuple(exponents), 0)
 
-    def constant_coefficient(self) -> Fraction:
+    def constant_coefficient(self) -> Coefficient:
         return self.coefficient([0] * self.arity)
 
     def degree(self, j: int) -> int:
@@ -164,10 +205,10 @@ class LaurentPolynomial:
             return tuple([0] * self.arity)
         return tuple(min(exps[j] for exps in self.terms) for j in range(self.arity))
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, Coefficient]]:
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
 
-    def leading(self) -> tuple[Exponents, Fraction]:
+    def leading(self) -> tuple[Exponents, Coefficient]:
         if not self.terms:
             raise UsageError("zero polynomial has no leading term")
         exps = max(self.terms, key=grlex_key)
@@ -183,15 +224,11 @@ class LaurentPolynomial:
         self._check(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            total = out.get(exps, Fraction(0)) + coeff
-            if total:
-                out[exps] = total
-            else:
-                out.pop(exps, None)
-        return LaurentPolynomial(self.arity, out)
+            out[exps] = out.get(exps, 0) + coeff
+        return LaurentPolynomial._make(self.arity, _cleaned(out))
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.arity, {e: -c for e, c in self.terms.items()})
+        return LaurentPolynomial._make(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
@@ -200,16 +237,13 @@ class LaurentPolynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
+        get = out.get
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                total = out.get(exps, Fraction(0)) + ca * cb
-                if total:
-                    out[exps] = total
-                else:
-                    out.pop(exps, None)
-        return LaurentPolynomial(self.arity, out)
+                exps = tuple(map(add, ea, eb))
+                out[exps] = get(exps, 0) + ca * cb
+        return LaurentPolynomial._make(self.arity, _cleaned(out))
 
     def __rmul__(self, other) -> "LaurentPolynomial":
         return self.__mul__(other)
@@ -228,17 +262,20 @@ class LaurentPolynomial:
         return result
 
     def scale(self, value) -> "LaurentPolynomial":
-        value = Fraction(value)
+        value = _exact(value)
         if not value:
             return LaurentPolynomial.zero(self.arity)
-        return LaurentPolynomial(self.arity, {e: c * value for e, c in self.terms.items()})
+        return LaurentPolynomial._make(
+            self.arity, _cleaned({e: c * value for e, c in self.terms.items()})
+        )
 
     def shift(self, exponents: Sequence[int]) -> "LaurentPolynomial":
         """Multiply by the monomial x^exponents."""
-        exponents = tuple(exponents)
-        return LaurentPolynomial(
-            self.arity,
-            {tuple(x + y for x, y in zip(e, exponents)): c for e, c in self.terms.items()},
+        exponents = tuple(int(e) for e in exponents)
+        if len(exponents) != self.arity:
+            raise UsageError("shift exponent vector has wrong arity")
+        return LaurentPolynomial._make(
+            self.arity, {tuple(map(add, e, exponents)): c for e, c in self.terms.items()}
         )
 
     def __eq__(self, other) -> bool:
@@ -260,24 +297,24 @@ class LaurentPolynomial:
         vector is unrestricted (entries may be negative or zero, so a variable
         can also be specialized to a constant).
         """
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         if not coeff:
             raise UsageError("substitution coefficient must be nonzero")
         exponents = tuple(int(e) for e in exponents)
         if len(exponents) != self.arity:
             raise UsageError("substitution exponent vector has wrong arity")
-        out: dict[Exponents, Fraction] = {}
+        powers: dict[int, Coefficient] = {}
+        out: dict[Exponents, Coefficient] = {}
         for exps, c in self.terms.items():
             k = exps[j]
             new = tuple(
                 (e - k if i == j else e) + k * exponents[i] for i, e in enumerate(exps)
             )
-            total = out.get(new, Fraction(0)) + c * coeff**k
-            if total:
-                out[new] = total
-            else:
-                out.pop(new, None)
-        return LaurentPolynomial(self.arity, out)
+            if k not in powers:
+                # an int to a negative power would be a float
+                powers[k] = _exact(coeff**k if k >= 0 else Fraction(coeff) ** k)
+            out[new] = out.get(new, 0) + c * powers[k]
+        return LaurentPolynomial._make(self.arity, _cleaned(out))
 
     def divide_exact(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial | None":
         """Exact quotient self/divisor, or None when the division is not exact.
@@ -296,23 +333,23 @@ class LaurentPolynomial:
         rem = dict(self.shift(tuple(-e for e in c_num)).terms)
         div = divisor.shift(tuple(-e for e in c_div))
         lead_e, lead_c = div.leading()
-        quotient: dict[Exponents, Fraction] = {}
+        quotient: dict[Exponents, Coefficient] = {}
         while rem:
             r_lead = max(rem, key=grlex_key)
             diff = tuple(x - y for x, y in zip(r_lead, lead_e))
             if any(e < 0 for e in diff):
                 return None
-            coeff = rem[r_lead] / lead_c
-            quotient[diff] = quotient.get(diff, Fraction(0)) + coeff
+            coeff = _ratio(rem[r_lead], lead_c)
+            quotient[diff] = quotient.get(diff, 0) + coeff
             for e_div, c_div2 in div.terms.items():
-                exps = tuple(x + y for x, y in zip(diff, e_div))
-                total = rem.get(exps, Fraction(0)) - coeff * c_div2
+                exps = tuple(map(add, diff, e_div))
+                total = rem.get(exps, 0) - coeff * c_div2
                 if total:
                     rem[exps] = total
                 else:
                     rem.pop(exps, None)
         shift_back = tuple(a - b for a, b in zip(c_num, c_div))
-        return LaurentPolynomial(self.arity, quotient).shift(shift_back)
+        return LaurentPolynomial._make(self.arity, _cleaned(quotient)).shift(shift_back)
 
     def evaluate(self, point: Sequence[complex]) -> complex:
         if len(point) != self.arity:
@@ -353,9 +390,8 @@ def atom_product(q: int, arity: int, factors: Iterable[QPowerFactor]) -> Laurent
     zero = tuple([0] * arity)
     product = LaurentPolynomial.one(arity)
     for qpow, exponent in factors:
-        product = product * LaurentPolynomial(
-            arity, {zero: Fraction(1), tuple(exponent): -(Fraction(q) ** qpow)}
-        )
+        coeff = q**qpow if qpow >= 0 else Fraction(1, q**-qpow)
+        product = product * LaurentPolynomial(arity, {zero: 1, tuple(exponent): -coeff})
     return product
 
 
@@ -541,15 +577,15 @@ class FactoredRational:
             for parts in product(*reversed(axes)):
                 k = sum(parts)
                 cells[k] += c * cells[k - off]
-        coeffs: dict[Exponents, Fraction] = {}
+        coeffs: dict[Exponents, Coefficient] = {}
         for k, value in enumerate(cells):
             if value:
                 exps = []
                 for _ in range(arity):
                     k, e = divmod(k, side)
                     exps.append(e)
-                coeffs[tuple(exps)] = Fraction(value, scale)
-        return TruncatedSeries(arity, bound, coeffs)
+                coeffs[tuple(exps)] = _ratio(value, scale)
+        return TruncatedSeries._make(arity, bound, coeffs)
 
     def substitute(self, j: int, coeff, exponents: Sequence[int]) -> "FactoredRational":
         """Map x_{j+1} -> coeff * x^exponents, restoring all representation invariants.
@@ -672,20 +708,16 @@ def _multiset_split(
 
 
 def _mul_box(
-    a: dict[Exponents, Fraction], b: dict[Exponents, Fraction], bound: int
-) -> dict[Exponents, Fraction]:
-    out: dict[Exponents, Fraction] = {}
+    a: dict[Exponents, Coefficient], b: dict[Exponents, Coefficient], bound: int
+) -> dict[Exponents, Coefficient]:
+    out: dict[Exponents, Coefficient] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            exps = tuple(x + y for x, y in zip(ea, eb))
+            exps = tuple(map(add, ea, eb))
             if any(e > bound for e in exps):
                 continue
-            total = out.get(exps, Fraction(0)) + ca * cb
-            if total:
-                out[exps] = total
-            else:
-                out.pop(exps, None)
-    return out
+            out[exps] = out.get(exps, 0) + ca * cb
+    return _cleaned(out)
 
 
 # ---------------------------------------------------------------------------
@@ -695,34 +727,49 @@ def _mul_box(
 class TruncatedSeries:
     """Exact series coefficients on the box of exponent vectors with entries in 0..bound.
 
-    Absent entries mean coefficient zero.  Multiplication of box-truncated
-    series is again exact on the box because exponents are nonnegative.
+    Absent entries mean coefficient zero; stored coefficients are nonzero,
+    ``int`` when integral and ``Fraction`` otherwise.  The constructor checks
+    and normalises its input; ``FactoredRational.series`` and ``__mul__``
+    build their results with ``_make``, which trusts them.  Multiplication of
+    box-truncated series is again exact on the box because exponents are
+    nonnegative.
     """
 
     __slots__ = ("arity", "bound", "coefficients")
 
-    def __init__(self, arity: int, bound: int, coefficients: Mapping[Exponents, Fraction]):
+    def __init__(self, arity: int, bound: int, coefficients: Mapping[Exponents, Coefficient]):
         if bound < 0:
             raise UsageError("bound must be nonnegative")
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Coefficient] = {}
         for exps, coeff in coefficients.items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != arity:
                 raise UsageError("coefficient exponent vector has wrong arity")
             if any(e < 0 or e > bound for e in exps):
                 raise UsageError(f"exponent vector {exps} outside the 0..{bound} box")
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff:
                 clean[exps] = coeff
         self.arity = arity
         self.bound = bound
         self.coefficients = clean
 
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
+    @classmethod
+    def _make(
+        cls, arity: int, bound: int, coefficients: dict[Exponents, Coefficient]
+    ) -> "TruncatedSeries":
+        """Wrap coefficients that already meet the invariants, without checking them."""
+        series = object.__new__(cls)
+        series.arity = arity
+        series.bound = bound
+        series.coefficients = coefficients
+        return series
+
+    def coefficient(self, exponents: Sequence[int]) -> Coefficient:
         exponents = tuple(exponents)
         if any(e < 0 or e > self.bound for e in exponents):
             raise UsageError(f"exponent vector {exponents} outside the truncation box")
-        return self.coefficients.get(exponents, Fraction(0))
+        return self.coefficients.get(exponents, 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -738,11 +785,11 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.arity != other.arity or self.bound != other.bound:
             raise UsageError("series shapes do not match")
-        return TruncatedSeries(
+        return TruncatedSeries._make(
             self.arity, self.bound, _mul_box(self.coefficients, other.coefficients, self.bound)
         )
 
-    def sorted_items(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_items(self) -> list[tuple[Exponents, Coefficient]]:
         return sorted(self.coefficients.items(), key=lambda item: grlex_key(item[0]))
 
     def evaluate(self, point: Sequence[complex]) -> complex:
@@ -778,7 +825,7 @@ def render_monomial(exponents: Exponents, names: Sequence[str]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _render_term(coeff: Fraction, exponents: Exponents, names: Sequence[str]) -> str:
+def _render_term(coeff: Coefficient, exponents: Exponents, names: Sequence[str]) -> str:
     monomial = render_monomial(exponents, names)
     if monomial == "1":
         return str(coeff)

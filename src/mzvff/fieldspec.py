@@ -123,7 +123,7 @@ def from_l_polynomial(q: int, lpoly: LPolynomial | Sequence[int]) -> FunctionFie
         raise InvalidSpecError("q", f"must be an integer >= 2, got {q!r}")
     genus = lpoly.degree // 2
     bound = 2 * genus + 2
-    numerator = LaurentPolynomial(1, {(i,): Fraction(c) for i, c in enumerate(lpoly.coefficients)})
+    numerator = LaurentPolynomial(1, {(i,): c for i, c in enumerate(lpoly.coefficients)})
     ratio = FactoredRational(q, numerator, [QPowerFactor(0, (1,)), QPowerFactor(1, (1,))])
     series = ratio.series(bound)
     counts = [series.coefficient((n,)) for n in range(bound + 1)]
@@ -173,10 +173,10 @@ def one_var_zeta(spec: FunctionFieldSpec) -> FactoredRational:
     q, g, h = spec.q, spec.genus, spec.class_number
     atoms = [QPowerFactor(0, (1,)), QPowerFactor(1, (1,))]
     one_minus_t, one_minus_qt = (atom_product(q, 1, [atom]) for atom in atoms)
-    head = LaurentPolynomial(1, {(n,): Fraction(spec.b_initial[n]) for n in range(2 * g - 1)})
+    head = LaurentPolynomial(1, {(n,): spec.b_initial[n] for n in range(2 * g - 1)})
     t_pow = LaurentPolynomial.monomial(1, 1, (2 * g - 1,))
     tail = (
-        t_pow.scale(Fraction(q) ** g) * one_minus_t - t_pow * one_minus_qt
+        t_pow.scale(q**g) * one_minus_t - t_pow * one_minus_qt
     ).scale(Fraction(h, q - 1))
     num = head * one_minus_t * one_minus_qt + tail
     return FactoredRational(q, num, atoms)

@@ -54,9 +54,7 @@ def part_A(spec: FunctionFieldSpec) -> FactoredRational:
     terms = {}
     for n in range(0, 2 * g - 1):
         for m in range(0, 2 * g - 1 - n):
-            terms[(n, m)] = Fraction(
-                effective_count(spec, n) * effective_count(spec, m + n)
-            )
+            terms[(n, m)] = effective_count(spec, n) * effective_count(spec, m + n)
     return FactoredRational(spec.q, LaurentPolynomial(2, terms))
 
 
@@ -72,11 +70,11 @@ def part_B(spec: FunctionFieldSpec) -> FactoredRational:
     cleared = LaurentPolynomial(
         2,
         {
-            (n, 2 * g - 1 - n): Fraction(effective_count(spec, n))
+            (n, 2 * g - 1 - n): effective_count(spec, n)
             for n in range(0, 2 * g - 1)
         },
     )
-    bracket = _uv_product(q, "1-v").scale(Fraction(q) ** g) - _uv_product(q, "1-qv")
+    bracket = _uv_product(q, "1-v").scale(q**g) - _uv_product(q, "1-qv")
     num = (bracket * cleared).scale(Fraction(h, q - 1))
     return FactoredRational(q, num, [_UV_ATOMS["1-v"], _UV_ATOMS["1-qv"]])
 
@@ -92,10 +90,10 @@ def part_C(spec: FunctionFieldSpec) -> FactoredRational:
     atoms = _UV_ATOMS
     u_pref = (2 * g - 1, 0)
     pieces = [
-        (Fraction(q) ** (2 * g), [atoms["1-qv"], atoms["1-q2u"]]),
-        (-(Fraction(q) ** g), [atoms["1-qv"], atoms["1-qu"]]),
-        (-(Fraction(q) ** g), [atoms["1-v"], atoms["1-qu"]]),
-        (Fraction(1), [atoms["1-v"], atoms["1-u"]]),
+        (q ** (2 * g), [atoms["1-qv"], atoms["1-q2u"]]),
+        (-(q**g), [atoms["1-qv"], atoms["1-qu"]]),
+        (-(q**g), [atoms["1-v"], atoms["1-qu"]]),
+        (1, [atoms["1-v"], atoms["1-u"]]),
     ]
     total = None
     for coeff, den in pieces:
@@ -152,11 +150,11 @@ def pq_polynomials(spec: FunctionFieldSpec) -> tuple[LaurentPolynomial, LaurentP
     p1 = q_poly * form.A.num  # A is a polynomial: Q * A
 
     u_cubic = _uv_product(q, "1-u", "1-qu", "1-q2u")
-    bracket_b = _uv_product(q, "1-v").scale(Fraction(q) ** g) - _uv_product(q, "1-qv")
+    bracket_b = _uv_product(q, "1-v").scale(q**g) - _uv_product(q, "1-qv")
     tail_sum = LaurentPolynomial(
         2,
         {
-            (k, tower - k): Fraction(effective_count(spec, k))
+            (k, tower - k): effective_count(spec, k)
             for k in range(0, 2 * g - 1)
         },
     )
@@ -164,9 +162,9 @@ def pq_polynomials(spec: FunctionFieldSpec) -> tuple[LaurentPolynomial, LaurentP
     p2 = (u_cubic * bracket_b * v_pref * tail_sum).scale(Fraction(h, q - 1))
 
     bracket_c = (
-        _uv_product(q, "1-qu", "1-v", "1-u").scale(Fraction(q) ** (2 * g))
-        - _uv_product(q, "1-q2u", "1-v", "1-u").scale(Fraction(q) ** g)
-        - _uv_product(q, "1-qv", "1-q2u", "1-u").scale(Fraction(q) ** g)
+        _uv_product(q, "1-qu", "1-v", "1-u").scale(q ** (2 * g))
+        - _uv_product(q, "1-q2u", "1-v", "1-u").scale(q**g)
+        - _uv_product(q, "1-qv", "1-q2u", "1-u").scale(q**g)
         + _uv_product(q, "1-qv", "1-q2u", "1-qu")
     )
     p3 = (

@@ -101,7 +101,7 @@ def completed_xi(ctx: PolyZetaContext) -> FactoredRational:
     for k in range(1, d + 1):
         gamma = FactoredRational(
             q,
-            LaurentPolynomial.monomial(d, Fraction(q) ** (d - k), y_exponent(d, k)),
+            LaurentPolynomial.monomial(d, q ** (d - k), y_exponent(d, k)),
             [QPowerFactor(d - k, y_exponent(d, k))],
         )
         value = value * gamma

@@ -17,17 +17,20 @@ one-variable zetas, and the reduced pole-subvariety report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .exactalg import (
+    BudgetExceededError,
     FactoredRational,
     LaurentPolynomial,
     QPowerFactor,
     UsageError,
     _multiset_split,
     atom_product,
+    configured_budget,
 )
 from .polyring import sum_label, y_exponent
 
@@ -84,9 +87,21 @@ def closed_form_genus0(q: int, depth: int) -> FactoredRational:
         N_j[c] = (q N_(j+1)[c-1] - N_(j+1)[c]) * prod_(c' != c) (1 - q^c' y_j),
 
     from N_(d+1)[0] = 1, and Z_d = sum_c N_1[c] / ((q-1)^d * ladder).
+
+    The numerator has degree <= d-j+1 in y_j, so at most (d+1)! terms, and
+    the ladder has d(d+3)/2 atoms; a depth whose term bound times ladder
+    length exceeds the work budget (``MZVFF_BUDGET``) is refused up front
+    with BudgetExceededError (the default budget admits d <= 8).
     """
     if q < 2 or depth < 1:
         raise UsageError("need q >= 2 and depth >= 1")
+    terms, ladder = math.factorial(depth + 1), depth * (depth + 3) // 2
+    cost, budget = terms * ladder, configured_budget()
+    if cost > budget:
+        raise BudgetExceededError(
+            f"closed form at depth {depth} may have {terms} numerator terms x "
+            f"{ladder} ladder atoms = {cost}, budget is {budget}"
+        )
     zero = LaurentPolynomial.zero(depth)
     states = [LaurentPolynomial.one(depth)]
     for j in range(depth, 0, -1):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mzvff import polyring
+from mzvff import cli, polyring
 from mzvff.cli import main
 from mzvff.exactalg import FactoredRational, render_rational
 
@@ -77,6 +77,14 @@ class TestClosedForm:
     def test_missing_q_is_usage_error(self, capsys):
         code, _, err = run(capsys, "closed-form", "--ring", "poly", "--depth", "2")
         assert code == 2
+
+    def test_rational_depth_over_budget_exits_4(self, capsys):
+        code, out, err = run(
+            capsys, "closed-form", "--ring", "rational", "--q", "3", "--depth", "12"
+        )
+        assert code == 4
+        assert out == ""
+        assert "closed form at depth 12" in err and "budget" in err
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(
@@ -297,3 +305,30 @@ class TestVerify:
     def test_unknown_check_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--only", "no-such-check")
         assert code == 2
+
+
+class TestParserReuse:
+    COMMANDS = [
+        ("closed-form", "--ring", "rational", "--q", "3", "--depth", "2", "--format", "json"),
+        ("closed-form", "--ring", "rational", "--q", "3", "--depth", "2"),
+        ("series", "--ring", "poly", "--q", "2", "--depth", "2", "--trunc", "3"),
+        ("closed-form", "--ring", "poly", "--depth", "2"),  # no --q: usage error
+        ("verify", "--only", "involution", "--q", "2", "--depth", "1..2", "--format", "json"),
+        ("series", "--ring", "poly", "--depth", "2", "--trunc"),  # argparse error
+        ("residue", "--q", "2", "--pole", "w=1", "--format", "json"),
+        ("verify", "--only", "involution", "--q", "2", "--depth", "1..2"),
+        ("series", "--ring", "rational", "--q", "2", "--depth", "1", "--trunc", "2",
+         "--source", "oracle"),
+        ("series", "--ring", "rational", "--q", "2", "--depth", "1", "--trunc", "2"),
+    ]
+
+    def test_shared_parser_matches_fresh_parser(self, capsys):
+        fresh = []
+        for argv in self.COMMANDS:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv)[:2])
+        cli._parser.cache_clear()
+        shared = [run(capsys, *argv)[:2] for argv in self.COMMANDS]
+        assert cli._parser.cache_info().misses == 1
+        assert shared == fresh
+        assert [code for code, _ in shared] == [0, 0, 0, 2, 0, 2, 0, 0, 0, 0]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,11 @@ class TestLaurentPolynomial:
     def test_arity_mismatch(self):
         with pytest.raises(UsageError):
             poly(1, {(0,): 1}) * poly(2, {(0, 0): 1})
+
+    @pytest.mark.parametrize("exponents", [(1,), (1, 2, 3)])
+    def test_shift_arity_mismatch(self, exponents):
+        with pytest.raises(UsageError):
+            poly(2, {(0, 0): 1}).shift(exponents)
 
     def test_zero_terms_dropped(self):
         p = poly(1, {(0,): 1}) + poly(1, {(0,): -1})
@@ -455,3 +461,208 @@ class TestReduceShortcut:
     def test_matches_plain_division(self, a, extra):
         value = FactoredRational(a.q, a.num * atom_product(a.q, 2, extra), a.den + tuple(extra))
         assert value.reduce().to_dict() == reduce_by_division(value).to_dict()
+
+
+# The all-Fraction kernel that int coefficients replaced, ported to plain
+# term dicts: the reference for TestIntCoefficients.
+
+
+def _ref_accumulate(out, exps, value):
+    total = out.get(exps, Fraction(0)) + value
+    if total:
+        out[exps] = total
+    else:
+        out.pop(exps, None)
+
+
+def ref_terms(poly):
+    return {e: Fraction(c) for e, c in poly.terms.items()}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for exps, coeff in b.items():
+        _ref_accumulate(out, exps, coeff)
+    return out
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            _ref_accumulate(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+    return out
+
+
+def ref_scale(a, value):
+    value = Fraction(value)
+    return {e: c * value for e, c in a.items()} if value else {}
+
+
+def ref_shift(a, exponents):
+    return {tuple(x + y for x, y in zip(e, exponents)): c for e, c in a.items()}
+
+
+def ref_substitute(a, j, coeff, exponents):
+    coeff = Fraction(coeff)
+    out = {}
+    for exps, c in a.items():
+        k = exps[j]
+        new = tuple((e - k if i == j else e) + k * exponents[i] for i, e in enumerate(exps))
+        _ref_accumulate(out, new, c * coeff**k)
+    return out
+
+
+def ref_divide_exact(a, b):
+    if not a:
+        return {}
+    arity = len(next(iter(b)))
+    c_num = tuple(min(e[j] for e in a) for j in range(arity))
+    c_div = tuple(min(e[j] for e in b) for j in range(arity))
+    rem = ref_shift(a, tuple(-e for e in c_num))
+    div = ref_shift(b, tuple(-e for e in c_div))
+    lead_e = max(div, key=lambda e: (sum(e), e))
+    lead_c = div[lead_e]
+    quotient = {}
+    while rem:
+        r_lead = max(rem, key=lambda e: (sum(e), e))
+        diff = tuple(x - y for x, y in zip(r_lead, lead_e))
+        if any(e < 0 for e in diff):
+            return None
+        coeff = rem[r_lead] / lead_c
+        _ref_accumulate(quotient, diff, coeff)
+        for e_div, c_div2 in div.items():
+            _ref_accumulate(rem, tuple(x + y for x, y in zip(diff, e_div)), -coeff * c_div2)
+    return ref_shift(quotient, tuple(a - b for a, b in zip(c_num, c_div)))
+
+
+def ref_series(value, bound):
+    arity, side = value.arity, bound + 1
+    strides = [side**i for i in range(arity)]
+    cells = [Fraction(0)] * side**arity
+    for exps, coeff in ref_terms(value.num).items():
+        if all(e <= bound for e in exps):
+            cells[sum(e * s for e, s in zip(exps, strides))] += coeff
+    for qpow, step in value.den:
+        c = Fraction(value.q) ** qpow
+        off = sum(e * s for e, s in zip(step, strides))
+        axes = [range(e * s, side * s, s) for e, s in zip(step, strides)]
+        for parts in product(*reversed(axes)):
+            k = sum(parts)
+            cells[k] += c * cells[k - off]
+    out = {}
+    for k, v in enumerate(cells):
+        if v:
+            exps = []
+            for _ in range(arity):
+                k, e = divmod(k, side)
+                exps.append(e)
+            out[tuple(exps)] = v
+    return out
+
+
+def assert_exact(terms, reference):
+    """Same values as the reference, each integral one stored as an int."""
+    assert terms == reference
+    for c in terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+# ints, proper Fractions and integral Fractions, all nonzero
+mixed_coeffs = st.one_of(
+    st.integers(-6, 6), coeffs, st.integers(-6, 6).map(Fraction)
+).filter(bool)
+
+
+def mixed_polynomials(arity, min_exp=0, max_exp=3, max_terms=4):
+    exps = st.tuples(*([st.integers(min_exp, max_exp)] * arity))
+    return st.dictionaries(exps, mixed_coeffs, max_size=max_terms).map(
+        lambda terms: LaurentPolynomial(arity, terms)
+    )
+
+
+class TestIntCoefficients:
+    @given(st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           st.one_of(mixed_coeffs, st.just(0), st.just(Fraction(0)))))
+    def test_constructor_normalises(self, raw):
+        poly = LaurentPolynomial(2, raw)
+        assert_exact(poly.terms, {e: Fraction(c) for e, c in raw.items() if c})
+        boxed = {(e[0] % 3, e[1] % 3): c for e, c in raw.items()}
+        series = TruncatedSeries(2, 2, boxed)
+        assert_exact(series.coefficients, {e: Fraction(c) for e, c in boxed.items() if c})
+
+    @given(mixed_polynomials(2, min_exp=-1), mixed_polynomials(2, min_exp=-1))
+    def test_add_neg_sub_mul(self, a, b):
+        ra, rb = ref_terms(a), ref_terms(b)
+        neg_b = {e: -c for e, c in rb.items()}
+        assert_exact((a + b).terms, ref_add(ra, rb))
+        assert_exact((-b).terms, neg_b)
+        assert_exact((a - b).terms, ref_add(ra, neg_b))
+        assert_exact((a * b).terms, ref_mul(ra, rb))
+
+    @given(mixed_polynomials(2, min_exp=-1), st.one_of(mixed_coeffs, st.just(0)))
+    def test_scale(self, a, value):
+        assert_exact(a.scale(value).terms, ref_scale(ref_terms(a), value))
+        assert_exact((a * value).terms, ref_scale(ref_terms(a), value))
+
+    @given(mixed_polynomials(3, min_exp=-2), st.tuples(*([st.integers(-2, 2)] * 3)))
+    def test_shift(self, a, exponents):
+        assert_exact(a.shift(exponents).terms, ref_shift(ref_terms(a), exponents))
+
+    @given(
+        mixed_polynomials(2, min_exp=-3),
+        st.integers(0, 1),
+        mixed_coeffs,
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    )
+    def test_substitute_monomial(self, a, j, coeff, exponents):
+        # negative exponents of x_j raise int and Fraction coefficients to
+        # negative powers
+        expected = ref_substitute(ref_terms(a), j, coeff, exponents)
+        assert_exact(a.substitute_monomial(j, coeff, exponents).terms, expected)
+
+    @given(
+        mixed_polynomials(2, min_exp=-1),
+        mixed_polynomials(2, min_exp=-1).filter(lambda p: not p.is_zero()),
+    )
+    def test_divide_exact(self, a, b):
+        ra, rb = ref_terms(a), ref_terms(b)
+        assert_exact((a * b).divide_exact(b).terms, ref_divide_exact(ref_mul(ra, rb), rb))
+        quotient, expected = a.divide_exact(b), ref_divide_exact(ra, rb)
+        if expected is None:
+            assert quotient is None
+        else:
+            assert_exact(quotient.terms, expected)
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda arity: st.tuples(
+                st.sampled_from((2, 3, 5)),
+                mixed_polynomials(arity, max_exp=5, max_terms=5),
+                st.lists(atoms(arity), max_size=3),
+            )
+        ).map(lambda t: FactoredRational(*t)),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_series(self, value, bound):
+        series = value.series(bound)
+        assert_exact(series.coefficients, ref_series(value, bound))
+        product_series = series * series
+        assert_exact(
+            product_series.coefficients,
+            {e: c for e, c in ref_mul(series.coefficients, series.coefficients).items()
+             if all(x <= bound for x in e)},
+        )
+
+
+class TestIntFastPath:
+    @pytest.mark.parametrize("q,d", [(2, 4), (3, 5), (4, 3), (5, 4), (7, 5)])
+    def test_cleared_genus0_numerator_is_integral(self, q, d):
+        num = closed_form_genus0(q, d).num.scale((q - 1) ** d)
+        assert all(type(c) is int for c in num.terms.values())
+
+    @given(st.sampled_from((2, 3, 5)), st.lists(atoms(3), max_size=4))
+    def test_atom_product_with_nonnegative_qpow_is_integral(self, q, factors):
+        factors = [QPowerFactor(abs(a), e) for a, e in factors]
+        assert all(type(c) is int for c in atom_product(q, 3, factors).terms.values())

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzvff import oracle
-from mzvff.exactalg import LaurentPolynomial, QPowerFactor, render_rational
+from mzvff.exactalg import BudgetExceededError, LaurentPolynomial, QPowerFactor, render_rational
 from mzvff.fieldspec import FunctionFieldSpec, one_var_zeta
 from mzvff.rational_field import (
     closed_form_genus0,
@@ -83,6 +84,21 @@ class TestClosedForm:
         closed = closed_form_genus0(q, d)
         assert closed.to_dict() == total.to_dict()
         assert render_rational(closed) == render_rational(total)
+
+    @pytest.mark.parametrize("d", (1, 2, 3, 4, 5, 6))
+    def test_term_bound_of_the_cost_guard(self, d):
+        # the guard counts (d+1)! numerator terms and d(d+3)/2 ladder atoms
+        closed = closed_form_genus0(3, d)
+        assert len(closed.num.terms) <= math.factorial(d + 1)
+        assert len(closed.den) == d * (d + 3) // 2
+
+    def test_budget_counts_terms_times_ladder(self, monkeypatch):
+        cost = math.factorial(4) * 9  # depth 3: 4! terms x 9 ladder atoms
+        monkeypatch.setenv("MZVFF_BUDGET", str(cost))
+        assert len(closed_form_genus0(2, 3).den) == 9
+        monkeypatch.setenv("MZVFF_BUDGET", str(cost - 1))
+        with pytest.raises(BudgetExceededError, match=f"= {cost}, budget is {cost - 1}"):
+            closed_form_genus0(2, 3)
 
 
 class TestQPolynomial:
